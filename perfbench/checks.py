@@ -102,6 +102,18 @@ def failed_rows(log) -> np.ndarray:
     )
 
 
+def describe_row(log, row: int) -> str:
+    """One line on what a failed row shows."""
+    c = log.columns
+    status = STATUSES[int(c["status"][row])]
+    text = (f"{KINDS[int(c['kind'][row])]} {status}, {int(c['hops'][row])} hops, "
+            f"latency {float(c['latency'][row]):.4f} s, {int(c['retries'][row])} retries")
+    if int(c["eligible"][row]) >= 0:
+        text += (f", delivered to {int(c['delivered_count'][row])} "
+                 f"of {int(c['eligible'][row])} eligible")
+    return text
+
+
 def online_from_intervals(trace, time: float) -> int:
     """Nodes online at ``time``, counted from each node's raw session
     intervals (half-open ``[start, end)``) in plain Python."""

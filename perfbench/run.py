@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload ops-churn --seed 3 --seconds 36 --trace 0
+    python3 perfbench/run.py --workload ops-churn --seed 3 --seconds 30 --trace 0
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``: with
@@ -40,10 +40,10 @@ FIXED_ENV = {
 
 WORKLOADS = ("paper-warmup", "ops-churn", "service-roundtrip")
 
-#: set-up samples per run, at least (extra builds fill up short runs)
-SETUP_SAMPLES = 5
+#: set-up samples per simulation cycle (their median is the cycle's)
+SETUP_SAMPLES = 7
 #: cycles per run, at least
-MIN_CYCLES = 2
+MIN_CYCLES = 1
 
 
 def host_probe() -> float:
@@ -100,26 +100,29 @@ def read_latencies(out) -> list:
 
 
 def end_to_end_metrics(name: str, out) -> dict:
-    """The end-to-end metrics of a run.  Per-cycle values become one
-    figure through their mean where the cycles simulate different traces
-    (the simulation workloads), else through their median."""
-    center = statistics.median if name == "service-roundtrip" else statistics.fmean
+    """The end-to-end metrics of a run.  Set-up and warm-up are one
+    figure per cycle: their mean where the cycles simulate different
+    inputs (the simulation workloads), else their median.  Checkpoint
+    and restore are the median of the run's samples (per cycle, in the
+    service)."""
+    per_cycle = statistics.median if name == "service-roundtrip" else statistics.fmean
     reads = read_latencies(out)
     return {
-        "setup_s": _center(out.setup, out, "set-up", center),
-        "warmup_s": _center(out.warmup, out, "warm-up", center),
+        "setup_s": _center(out.setup, out, "set-up", per_cycle),
+        "warmup_s": _center(out.warmup, out, "warm-up", per_cycle),
         "ops_per_s": out.plan_operations / out.plan_seconds if out.plan_seconds else 0.0,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "request_ms_p50": 1e3 * _percentile(reads, 50.0, out, "read"),
         "request_ms_p90": 1e3 * _percentile(reads, 90.0, out, "read"),
-        "checkpoint_s": _center(out.checkpoint, out, "checkpoint", center),
-        "restore_s": _center(out.restore, out, "restore", center),
+        "checkpoint_s": _center(out.checkpoint, out, "checkpoint", statistics.median),
+        "restore_s": _center(out.restore, out, "restore", statistics.median),
     }
 
 
 def run_cycles(name: str, seed: int, cycles: int, work_dir: str, out,
                tiny: bool = False, setup_samples: int = SETUP_SAMPLES) -> None:
-    """``cycles`` cycles of workload ``name`` into ``out``."""
+    """``cycles`` cycles (rounds, for the simulation workloads) of
+    workload ``name`` into ``out``."""
     import checks
     import workloads
 
@@ -137,14 +140,10 @@ def run_cycles(name: str, seed: int, cycles: int, work_dir: str, out,
         return
     workload = workloads.SIM_WORKLOADS[name]
     size = {"hosts": 60, "plan_scale": 0.05} if tiny else {}
-    for extra in range(max(0, setup_samples - cycles)):
-        simulation, seconds = workloads.timed(
-            lambda: workloads.build_simulation(workload, extra, size.get("hosts"))
-        )
-        del simulation
-        out.setup.append(seconds)
-    for cycle in range(cycles):
-        workloads.sim_cycle(workload, seed, cycle, work_dir, out, **size)
+    for r in range(cycles):
+        for cycle in workload.round(seed, r):
+            workloads.sim_cycle(workload, cycle, work_dir, out,
+                                setup_samples=setup_samples, **size)
 
 
 def timed_run(name: str, seed: int, seconds: int, work_dir: str):
@@ -153,16 +152,16 @@ def timed_run(name: str, seed: int, seconds: int, work_dir: str):
     if name == "service-roundtrip":
         nominal = workloads.SERVICE_CYCLE_S
     else:
-        nominal = workloads.SIM_WORKLOADS[name].nominal_cycle_s
+        nominal = workloads.SIM_WORKLOADS[name].nominal_round_s
     out = workloads.Samples()
     run_cycles(name, seed, cycle_count(seconds, nominal), work_dir, out)
     return out, end_to_end_metrics(name, out)
 
 
 def traced_run(name: str, seed: int, work_dir: str):
-    """A traced cycle between two untraced cycles on the same input.  The
-    overhead is the traced cycle's time minus the untraced cycles' mean
-    (which also evens out one-time costs of the first cycle); all three
+    """A traced round between two untraced rounds on the same input.  The
+    overhead is the traced round's time minus the untraced rounds' mean
+    (which also evens out one-time costs of the first round); all three
     must produce byte-identical operation logs."""
     import checks
     import tracing
@@ -182,11 +181,12 @@ def traced_run(name: str, seed: int, work_dir: str):
     finally:
         tracer.uninstall()
     untraced_s = (untraced_s + cycle(after)) / 2
-    out.fail(checks.all_equal([before.logs[0], out.logs[0], after.logs[0]],
+    out.fail(checks.all_equal([b"".join(s.logs) for s in (before, out, after)],
                               "operation logs, untraced / traced / untraced"))
     for base in (before, after):
         out.attempted += base.attempted
         out.failed += base.failed
+        out.failures += base.failures
         out.problems += base.problems
     client = [seconds for __, seconds in out.requests]
     print(tracing.table(tracer), file=sys.stderr)
@@ -242,10 +242,14 @@ def main(argv=None) -> int:
     if out.slivers:
         ratios = " ".join(f"hs={r['hs']:.3f},vs={r['vs']:.3f}" for r in out.slivers)
         print(f"sliver ratios: {ratios}", file=sys.stderr)
+    for failure in out.failures:
+        print(f"OPERATION FAILED: {failure}", file=sys.stderr)
     for problem in out.problems:
         print(f"CHECK FAILED: {problem}", file=sys.stderr)
     result = {
-        "correct": not out.problems and out.failed == 0,
+        # failed operations are counted in ``failed``; ``correct`` speaks
+        # of everything else
+        "correct": not out.problems,
         "attempted": int(out.attempted),
         "failed": int(out.failed),
         "metrics": {

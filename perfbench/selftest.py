@@ -7,8 +7,8 @@ Usage, from the root of a checkout::
 Runs every workload at a tiny size (two cycles each) and requires a
 clean result, then shows that every check fires on a deliberately
 corrupted output: a 5 ms hop, a hop-0 delivery that took time, a
-multicast delivering to more nodes than were eligible, a row left
-pending, a missing row, a wrong clock, a wrong online count, a sliver
+multicast delivering to more nodes than were eligible (counted as one
+failed operation), a row left pending, a missing row, a wrong clock, a wrong online count, a sliver
 size out of band, a restored aggregation that differs, and a traced log
 that differs.  It also checks that tracing leaves the operation logs
 byte-identical and that a probe whose function is gone is reported
@@ -122,6 +122,10 @@ def corrupted_outputs(logs: dict, work_dir: str) -> None:
         bad = corrupt("delivered_count", row, paper.columns["eligible"][row] + 1, paper)
         expect(list(checks.multicast_tally_rows(bad)) == [row],
                "delivered_count above eligible breaks the multicast check")
+        out = workloads.Samples()
+        workloads.check_plan_log(out, bad, workloads.paper_plan(0.05), "paper")
+        expect(out.failed == 1 and len(out.failures) == 1 and not out.problems,
+               "a broken row counts as one failed operation, not as broken state")
     bad = corrupt("status", 0, STATUSES.index("pending"))
     expect(0 in checks.failed_rows(bad), "a row left pending breaks the terminal-status check")
 
@@ -131,6 +135,12 @@ def corrupted_outputs(logs: dict, work_dir: str) -> None:
     expect(bool(checks.plan_row_counts(short, plan)), "a missing row breaks the count check")
     moved = corrupt("item", 0, (int(c["item"][0]) + 1) % len(plan.items))
     expect(bool(checks.plan_row_counts(moved, plan)), "a row counted under the wrong item breaks it")
+    out = workloads.Samples()
+    workloads.check_plan_log(out, short, plan, "storm")
+    expect(out.failed == 1 and not out.problems, "a missing row counts as a failed operation")
+    out = workloads.Samples()
+    workloads.check_plan_log(out, moved, plan, "storm")
+    expect(out.failed == 0 and out.problems, "a misfiled row is broken state")
 
     before = [workloads.read_payload(log, g) for g in workloads.READ_GROUPINGS]
     changed = [workloads.read_payload(moved, g) for g in workloads.READ_GROUPINGS]
@@ -144,9 +154,29 @@ def corrupted_outputs(logs: dict, work_dir: str) -> None:
            "an HS size 2.5 times its closed form is out of band")
 
 
+def trace_parity() -> None:
+    import numpy as np
+    from repro.simulation import AvmemSimulation
+
+    for workload in workloads.SIM_WORKLOADS.values():
+        made = workloads.make_trace(workload, 3, hosts=60).timeline
+        built = AvmemSimulation(workload.settings(3, hosts=60)).trace.timeline
+        expect(all(np.array_equal(getattr(made, k), getattr(built, k))
+                   for k in ("starts", "ends", "offsets")),
+               f"{workload.name}: make_trace gives the trace the simulation generates")
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            workloads.make_trace(workload, 3, hosts=60)
+        finally:
+            tracer.uninstall()
+        expect(tracer.stats["churn.trace"].calls == 1,
+               f"{workload.name}: the traced run sees the trace generation")
+
+
 def warmup_checks() -> None:
     workload = workloads.OPS_CHURN
-    simulation = workloads.build_simulation(workload, SEED, hosts=60)
+    simulation = workloads.build_simulation(workload, workload.round(SEED, 0)[0], hosts=60)
     simulation.setup(warmup=7800.0, settle=1200.0)
     expect(not checks.warmup_state(simulation, 7800.0), "a real warm-up passes its state checks")
     online = simulation.online_ids()
@@ -166,6 +196,7 @@ def main() -> int:
         tracing_identity(work_dir)
         corrupted_outputs(logs, work_dir)
         warmup_checks()
+        trace_parity()
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
         try:

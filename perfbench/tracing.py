@@ -81,6 +81,7 @@ class Probe:
 PROBES: Tuple[Probe, ...] = (
     Probe("churn.trace", "churn", (
         "repro.simulation:generate_overnet_trace",
+        "repro.churn.overnet:generate_overnet_trace",
         "repro.scenarios.spec:ScenarioSpec.compile",
     )),
     Probe("churn.presence", "churn", (

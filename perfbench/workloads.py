@@ -28,10 +28,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.churn import overnet
+from repro.core.ids import make_node_ids
 from repro.experiments.harness import get_scale
 from repro.ops.log import OperationLog
 from repro.ops.plan import OperationItem, OperationPlan, OperationTiming
 from repro.ops.spec import TargetSpec
+from repro.scenarios.registry import get_scenario
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.http import make_server
 from repro.service.orchestrator import SessionOrchestrator
@@ -39,6 +42,7 @@ from repro.service.session import SimulationSession
 from repro.service.spec import SessionSpec
 from repro.service.store import SessionStore
 from repro.simulation import AvmemSimulation, SimulationSettings
+from repro.util.randomness import RandomRouter
 
 import checks
 
@@ -69,6 +73,9 @@ class Samples:
     restore: List[float] = field(default_factory=list)
     attempted: int = 0
     failed: int = 0
+    #: what failed operations broke (counted in ``failed``)
+    failures: List[str] = field(default_factory=list)
+    #: state checks that failed (the run is not correct)
     problems: List[str] = field(default_factory=list)
     #: per cycle: the byte content of every operation log it produced
     logs: List[bytes] = field(default_factory=list)
@@ -78,7 +85,9 @@ class Samples:
     slivers: List[Dict[str, float]] = field(default_factory=list)
 
     def fail(self, problems: List[str], operations: int = 0) -> None:
-        self.problems.extend(problems)
+        """Record what a check found: failed operations when
+        ``operations`` is given, else broken state."""
+        (self.failures if operations else self.problems).extend(problems)
         self.failed += operations
 
 
@@ -87,6 +96,16 @@ def timed(fn: Callable[[], object]) -> Tuple[object, float]:
     start = clock()
     result = fn()
     return result, clock() - start
+
+
+def check_plan_log(out: Samples, log, plan, label: str) -> None:
+    """The count and row checks of one plan's log.  Missing rows fail
+    their operations; counts that are off with no row missing mean a
+    misfiled row, which is broken state."""
+    missing = max(0, plan.total_operations - len(log))
+    out.fail([f"{label}: {p}" for p in checks.plan_row_counts(log, plan)], missing)
+    bad = checks.failed_rows(log)
+    out.fail([f"{label} row {i}: {checks.describe_row(log, i)}" for i in bad], len(bad))
 
 
 # ----------------------------------------------------------------------
@@ -110,8 +129,8 @@ def paper_plan(scale: float = 1.0):
     """The figure-sized plan: range anycasts under the three policies
     (Figs 7-9 targets) and threshold multicasts in both modes (Figs
     11-13 targets), interval-timed like the figure drivers."""
-    n = max(1, int(60 * scale))
-    m = max(1, int(24 * scale))
+    n = max(1, int(150 * scale))
+    m = max(1, int(60 * scale))
     anycast_every = OperationTiming(mode="interval", spacing=2.0)
     multicast_every = OperationTiming(mode="interval", spacing=5.0)
     items = (
@@ -128,14 +147,7 @@ def paper_plan(scale: float = 1.0):
 def churn_plan(scale: float = 1.0):
     """The storm: Poisson anycasts for every (policy, initiator band)
     pair, ~27 launches per simulated second so that many operations are
-    in flight at once.
-
-    Multicasts are left out here: under this scenario's heavy churn a
-    multicast now and then reports more in-range deliveries than eligible
-    nodes (a fault of the operation log, see CHANGES.md), which would
-    fail on some seeds and not on others.  Flood and gossip multicasts
-    run in the other two workloads.
-    """
+    in flight at once."""
     n = max(1, int(600 * scale))
     targets = {
         "greedy": TargetSpec.range(0.85, 0.95),
@@ -152,24 +164,49 @@ def churn_plan(scale: float = 1.0):
     return OperationPlan(items=items, settle=60.0, name="ops-churn-storm")
 
 
+def mixed_churn_plan(scale: float = 1.0):
+    """The storm plus 240 Poisson multicasts in flood and gossip mode
+    (60 each: HIGH > 0.9 flood, LOW > 0.2 gossip, MID > 0.5 flood, HIGH
+    > 0.6 gossip), in flight among the anycasts."""
+    storm = churn_plan(scale)
+    m = max(1, int(60 * scale))
+    every = OperationTiming(mode="poisson", rate=0.3)
+    multicasts = (
+        _multicast(TargetSpec.threshold(0.9), m, "high", "flood", every),
+        _multicast(TargetSpec.threshold(0.2), m, "low", "gossip", every),
+        _multicast(TargetSpec.threshold(0.5), m, "mid", "flood", every),
+        _multicast(TargetSpec.threshold(0.6), m, "high", "gossip", every),
+    )
+    return OperationPlan(items=storm.items + multicasts, settle=storm.settle,
+                         name="ops-churn-mixed")
+
+
+@dataclass(frozen=True)
+class CycleInput:
+    """What one simulation cycle runs: the churn trace's seed, the seed
+    of everything else (protocols, monitoring, hop latencies, operation
+    timing and initiators) and the plan."""
+
+    trace_seed: int
+    sim_seed: int
+    plan: Callable[[float], object]
+
+
 @dataclass(frozen=True)
 class SimWorkload:
-    """A library-driven workload: one simulation per cycle."""
+    """A library-driven workload: rounds of simulation cycles."""
 
     name: str
     tier: str
     scenario: Optional[str]
-    plan: Callable[[float], object]
-    #: churn-trace seeds, one per cycle in turn: every run simulates the
-    #: same traces, so the spread between runs is not the spread between
-    #: traces (README, "Seeds")
-    trace_seeds: Tuple[int, ...]
+    #: the cycles of round ``r`` of a run with ``--seed seed``
+    round: Callable[[int, int], Tuple[CycleInput, ...]]
     #: allowed measured / closed-form mean sliver size ratios
     sliver_band: Dict[str, Tuple[float, float]]
     #: log writes, reloads and passes over READ_GROUPINGS per cycle
     persist_repeats: int
-    #: nominal seconds per cycle on the reference host (cycle count only)
-    nominal_cycle_s: float
+    #: nominal seconds per round on the reference host (round count only)
+    nominal_round_s: float
 
     def settings(self, seed: int, hosts: Optional[int] = None):
         tier = get_scale(self.tier)
@@ -189,10 +226,32 @@ def cycle_seed(seed: int, cycle: int) -> int:
     return seed * 1000 + cycle
 
 
-def build_simulation(workload: SimWorkload, cycle: int, hosts: Optional[int] = None):
-    """The full construction of cycle ``cycle``'s input, trace included."""
-    trace_seed = workload.trace_seeds[cycle % len(workload.trace_seeds)]
-    return AvmemSimulation(workload.settings(trace_seed, hosts))
+def make_trace(workload: SimWorkload, trace_seed: int, hosts: Optional[int] = None):
+    """The churn trace that ``AvmemSimulation(workload.settings(trace_seed))``
+    generates, made through the same public generators (the self-test
+    checks that the two agree)."""
+    s = workload.settings(trace_seed, hosts)
+    rng = RandomRouter(s.seed).get("churn")
+    node_ids = make_node_ids(s.hosts)
+    if s.scenario is not None:
+        compiled = get_scenario(s.scenario).compile(
+            hosts=s.hosts, epochs=s.epochs, epoch_seconds=s.epoch_seconds, rng=rng
+        )
+        return compiled.to_trace(node_ids)
+    config = overnet.OvernetTraceConfig(
+        hosts=s.hosts, epochs=s.epochs, epoch_seconds=s.epoch_seconds,
+        diurnal_amplitude=s.diurnal_amplitude, diurnal_fraction=s.diurnal_fraction,
+    )
+    # called through the module, so that a tracer's wrapper is seen
+    return overnet.generate_overnet_trace(node_keys=node_ids, config=config, rng=rng)
+
+
+def build_simulation(workload: SimWorkload, cycle: CycleInput,
+                     hosts: Optional[int] = None):
+    """The cycle's whole construction: its trace from the trace seed, then
+    the simulation on that trace with the cycle's own seed."""
+    trace = make_trace(workload, cycle.trace_seed, hosts)
+    return AvmemSimulation(workload.settings(cycle.sim_seed, hosts), trace=trace)
 
 
 def read_payload(log, grouping) -> dict:
@@ -202,33 +261,32 @@ def read_payload(log, grouping) -> dict:
 
 def sim_cycle(
     workload: SimWorkload,
-    seed: int,
-    cycle: int,
+    cycle: CycleInput,
     work_dir: str,
     out: Samples,
     *,
     hosts: Optional[int] = None,
     plan_scale: float = 1.0,
+    setup_samples: int = 1,
 ) -> None:
-    """Cycle ``cycle`` of a run with ``--seed seed``; appends its samples
-    and problems to ``out``.
+    """One simulation cycle; appends its samples, failures and problems
+    to ``out``.
 
-    The timed set-up builds the cycle's simulation from its trace seed;
-    the simulation that runs is then built on that trace with the
-    cycle's own seed, through the constructor's ``trace`` parameter.
+    The set-up is timed ``setup_samples`` times, each a whole
+    construction of the same input, and their median is the cycle's;
+    the last one built is the one that runs.
     """
-    plan = workload.plan(plan_scale)
+    plan = cycle.plan(plan_scale)
     warmup, settle = workload.warmup()
     if hosts is not None:
         # tiny self-test sizes: a short warm-up on a few hosts
         warmup, settle = 7800.0, 1200.0
-    built, seconds = timed(lambda: build_simulation(workload, cycle, hosts))
-    out.setup.append(seconds)
-    trace = built.trace
-    del built
-    simulation = AvmemSimulation(
-        workload.settings(cycle_seed(seed, cycle), hosts), trace=trace
-    )
+    builds = []
+    for __ in range(setup_samples):
+        simulation = None  # the previous sample's, freed before the next build
+        simulation, seconds = timed(lambda: build_simulation(workload, cycle, hosts))
+        builds.append(seconds)
+    out.setup.append(statistics.median(builds))
     __, seconds = timed(lambda: simulation.setup(warmup=warmup, settle=settle))
     out.warmup.append(seconds)
     out.fail(checks.warmup_state(simulation, warmup))
@@ -247,59 +305,75 @@ def sim_cycle(
         del simulation
     out.plan_seconds += seconds
     out.plan_operations += len(log)
-    bad = checks.failed_rows(log)
-    out.fail(
-        checks.plan_row_counts(log, plan) + [f"row {i} breaks a row check" for i in bad],
-        len(bad) + max(0, plan.total_operations - len(log)),
-    )
+    check_plan_log(out, log, plan, plan.name)
 
     # Checkpoints, reloads and read passes alternate, so that each
     # metric's samples spread over the whole phase.
-    path = os.path.join(work_dir, f"log-{seed}-{cycle}.json")
+    path = os.path.join(work_dir, "log.json")
     before = [read_payload(log, g) for g in READ_GROUPINGS]
     repeats = 1 if hosts is not None else workload.persist_repeats
-    writes, reloads = [], []
     for __ in range(repeats):
         __, seconds = timed(lambda: log.to_json(path))
-        writes.append(seconds)
+        out.checkpoint.append(seconds)
         gc.collect()
         start = clock()
         restored = OperationLog.from_json(path)
         first = read_payload(restored, READ_GROUPINGS[0])
-        reloads.append(clock() - start)
+        out.restore.append(clock() - start)
         after = [first]
         for g in READ_GROUPINGS[1:]:
             payload, seconds = timed(lambda: read_payload(restored, g))
             out.reads.append(seconds)
             after.append(payload)
         out.fail(checks.same_payloads(before, after, "log read after reload"))
-    out.checkpoint.append(statistics.median(writes))
-    out.restore.append(statistics.median(reloads))
     with open(path, "rb") as fh:
         out.logs.append(fh.read())
     os.remove(path)
+
+
+def paper_round(seed: int, r: int) -> Tuple[CycleInput, ...]:
+    """One cycle, on trace 1 in the first round and trace 2 in the next."""
+    return (CycleInput((1, 2)[r % 2], cycle_seed(seed, r), paper_plan),)
+
+
+#: the input on which the multicast tally fault shows (CHANGES.md,
+#: FOUND): trace and simulation seed, independent of ``--seed``
+FAULT_SEED = 102003
+
+
+def churn_round(seed: int, r: int) -> Tuple[CycleInput, ...]:
+    """The seeded anycast storm on trace ``1 + r % 7``, then the mixed
+    storm with multicasts on the fixed input :data:`FAULT_SEED`.
+
+    The multicasts run on a fixed input because the program's multicast
+    tally is wrong on some inputs: on a seeded one the number of failed
+    operations would change from seed to seed.  On this input exactly
+    one multicast fails, in every round of every run.
+    """
+    return (
+        CycleInput(1 + r % 7, cycle_seed(seed, r), churn_plan),
+        CycleInput(FAULT_SEED, FAULT_SEED, mixed_churn_plan),
+    )
 
 
 PAPER_WARMUP = SimWorkload(
     name="paper-warmup",
     tier="medium",
     scenario=None,
-    plan=paper_plan,
-    trace_seeds=(1, 2),
+    round=paper_round,
     sliver_band={"hs": (0.55, 1.05), "vs": (0.6, 1.5)},
     persist_repeats=24,
-    nominal_cycle_s=16.0,
+    nominal_round_s=20.0,
 )
 
 OPS_CHURN = SimWorkload(
     name="ops-churn",
     tier="small",
     scenario="pareto-heavy-tail",
-    plan=churn_plan,
-    trace_seeds=(1, 2, 3, 4, 5, 6, 7),
+    round=churn_round,
     sliver_band={"hs": (0.4, 2.0), "vs": (0.4, 2.5)},
-    persist_repeats=4,
-    nominal_cycle_s=5.0,
+    persist_repeats=6,
+    nominal_round_s=14.0,
 )
 
 SIM_WORKLOADS = {w.name: w for w in (PAPER_WARMUP, OPS_CHURN)}
@@ -471,12 +545,7 @@ def service_cycle(
             out.fail([f"plan {k}: no stored log"], parsed.total_operations)
             continue
         log = OperationLog.from_json(path)
-        bad = checks.failed_rows(log)
-        out.fail(
-            [f"plan {k}: {p}" for p in checks.plan_row_counts(log, parsed)]
-            + [f"plan {k}: row {i} breaks a row check" for i in bad],
-            len(bad) + max(0, parsed.total_operations - len(log)),
-        )
+        check_plan_log(out, log, parsed, f"plan {k}")
         with open(path, "rb") as fh:
             blobs.append(fh.read())
     out.logs.append(b"".join(blobs))
