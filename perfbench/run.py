@@ -7,9 +7,9 @@ Usage, from the root of a checkout::
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``: with
 ``--trace 0`` every end-to-end metric of ``BENCHMARK.json``, with
-``--trace 1`` every per-layer metric.  Tables and the host-speed probe
-go to standard error.  The workloads are described in
-``perfbench/README.md``.
+``--trace 1`` every per-layer metric.  Tables, the raw host figures
+and the host clock's probes go to standard error.  The workloads are
+described in ``perfbench/README.md``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import statistics
 import sys
 import tempfile
 import time
+
+from hostclock import CLOCK, REFERENCE_PROBE_S
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -40,26 +42,10 @@ FIXED_ENV = {
 
 WORKLOADS = ("paper-warmup", "ops-churn", "service-roundtrip")
 
-#: set-up samples per simulation cycle (their median is the cycle's)
+#: set-up samples per simulation cycle (setup_s is the median of the run's)
 SETUP_SAMPLES = 7
 #: cycles per run, at least
 MIN_CYCLES = 1
-
-
-def host_probe() -> float:
-    """Seconds for a fixed mix of interpreter and numpy work.  Recorded
-    with every run so that a slow host can be told from a slow program;
-    it is not a metric."""
-    import numpy as np
-
-    start = time.perf_counter()
-    total = 0
-    for i in range(400_000):
-        total += i * i % 7
-    values = np.random.default_rng(0).random(400_000)
-    for __ in range(3):
-        np.sort(values)
-    return time.perf_counter() - start
 
 
 def cycle_count(seconds: int, nominal_cycle_s: float) -> int:
@@ -93,29 +79,40 @@ def _percentile(values, q: float, out, what: str) -> float:
     return float(np.percentile(values, q))
 
 
-def read_latencies(out) -> list:
+def read_spans(out) -> list:
     if out.requests:
-        return [seconds for kind, seconds in out.requests if kind == "read"]
+        return [span for kind, span in out.requests if kind == "read"]
     return out.reads
 
 
-def end_to_end_metrics(name: str, out) -> dict:
-    """The end-to-end metrics of a run.  Set-up and warm-up are one
-    figure per cycle: their mean where the cycles simulate different
-    inputs (the simulation workloads), else their median.  Checkpoint
-    and restore are the median of the run's samples (per cycle, in the
-    service)."""
+def end_to_end_metrics(name: str, out, seconds) -> dict:
+    """The end-to-end metrics of a run, every span read through
+    ``seconds`` (``HostClock.seconds`` for reference-host seconds, or
+    ``lambda span: span.host_seconds`` for the raw figures).
+
+    Set-up is the median of the run's samples.  Warm-up is one figure
+    per cycle: their mean where the cycles simulate different inputs
+    (the simulation workloads), else their median.  Restore is the
+    median of the run's samples.  A checkpoint sample is a list of
+    requests (one write in the simulation workloads, a cycle's
+    checkpoint requests in the service); checkpoint is the sum over
+    its requests of each request's median over the samples."""
     per_cycle = statistics.median if name == "service-roundtrip" else statistics.fmean
-    reads = read_latencies(out)
+    reads = [seconds(span) for span in read_spans(out)]
+    plan_seconds = sum(seconds(span) for span in out.plans)
     return {
-        "setup_s": _center(out.setup, out, "set-up", per_cycle),
-        "warmup_s": _center(out.warmup, out, "warm-up", per_cycle),
-        "ops_per_s": out.plan_operations / out.plan_seconds if out.plan_seconds else 0.0,
+        "setup_s": _center([seconds(s) for s in out.setup], out, "set-up",
+                           statistics.median),
+        "warmup_s": _center([seconds(s) for s in out.warmup], out, "warm-up", per_cycle),
+        "ops_per_s": out.plan_operations / plan_seconds if plan_seconds else 0.0,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "request_ms_p50": 1e3 * _percentile(reads, 50.0, out, "read"),
         "request_ms_p90": 1e3 * _percentile(reads, 90.0, out, "read"),
-        "checkpoint_s": _center(out.checkpoint, out, "checkpoint", statistics.median),
-        "restore_s": _center(out.restore, out, "restore", statistics.median),
+        "checkpoint_s": _center(out.checkpoint, out, "checkpoint", lambda samples: sum(
+            statistics.median(seconds(spans[k]) for spans in samples)
+            for k in range(len(samples[0])))),
+        "restore_s": _center([seconds(s) for s in out.restore], out, "restore",
+                             statistics.median),
     }
 
 
@@ -147,6 +144,8 @@ def run_cycles(name: str, seed: int, cycles: int, work_dir: str, out,
 
 
 def timed_run(name: str, seed: int, seconds: int, work_dir: str):
+    """The run's rounds; returns the samples and the metrics in
+    reference-host seconds.  The raw figures go to standard error."""
     import workloads
 
     if name == "service-roundtrip":
@@ -155,14 +154,19 @@ def timed_run(name: str, seed: int, seconds: int, work_dir: str):
         nominal = workloads.SIM_WORKLOADS[name].nominal_round_s
     out = workloads.Samples()
     run_cycles(name, seed, cycle_count(seconds, nominal), work_dir, out)
-    return out, end_to_end_metrics(name, out)
+    raw = end_to_end_metrics(name, out, lambda span: span.host_seconds)
+    print("raw host figures: " + " ".join(f"{k}={v:.6g}" for k, v in raw.items()),
+          file=sys.stderr)
+    return out, end_to_end_metrics(name, out, CLOCK.seconds)
 
 
 def traced_run(name: str, seed: int, work_dir: str):
-    """A traced round between two untraced rounds on the same input.  The
-    overhead is the traced round's time minus the untraced rounds' mean
-    (which also evens out one-time costs of the first round); all three
-    must produce byte-identical operation logs."""
+    """An untraced round, then a traced round on the same input.  The
+    overhead is the traced round's time minus the untraced round's (a
+    little low, as the untraced round also bears the run's one-time
+    costs); both must produce byte-identical operation logs.  Two rounds,
+    not three, keep a `paper-warmup` traced run well inside the time a
+    run may take on a slow host."""
     import checks
     import tracing
     import workloads
@@ -172,7 +176,7 @@ def traced_run(name: str, seed: int, work_dir: str):
         run_cycles(name, seed, 1, work_dir, out, setup_samples=1)
         return time.perf_counter() - start
 
-    before, out, after = workloads.Samples(), workloads.Samples(), workloads.Samples()
+    before, out = workloads.Samples(), workloads.Samples()
     untraced_s = cycle(before)
     tracer = tracing.Tracer()
     tracer.install()
@@ -180,15 +184,13 @@ def traced_run(name: str, seed: int, work_dir: str):
         traced_s = cycle(out)
     finally:
         tracer.uninstall()
-    untraced_s = (untraced_s + cycle(after)) / 2
-    out.fail(checks.all_equal([b"".join(s.logs) for s in (before, out, after)],
-                              "operation logs, untraced / traced / untraced"))
-    for base in (before, after):
-        out.attempted += base.attempted
-        out.failed += base.failed
-        out.failures += base.failures
-        out.problems += base.problems
-    client = [seconds for __, seconds in out.requests]
+    out.fail(checks.all_equal([b"".join(s.logs) for s in (before, out)],
+                              "operation logs, untraced / traced"))
+    out.attempted += before.attempted
+    out.failed += before.failed
+    out.failures += before.failures
+    out.problems += before.problems
+    client = [span.host_seconds for __, span in out.requests]
     print(tracing.table(tracer), file=sys.stderr)
     print(
         f"tracing overhead: {traced_s - untraced_s:.3f} s "
@@ -219,10 +221,16 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, SRC)
     specs = load_metric_specs()
+    # One processor for the whole run, threads included: the host clock
+    # probes from the main thread, and the service's server thread then
+    # runs on the processor those probes measure.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
-    probe_start = host_probe()
     os.makedirs(WORK_ROOT, exist_ok=True)
     work_dir = tempfile.mkdtemp(prefix="run-", dir=WORK_ROOT)
+    # The host's speed is probed through every run, so that a slow host
+    # can be told from a slow program; the timed metrics are scaled by it.
+    CLOCK.start()
     try:
         if args.trace:
             out, values = traced_run(args.workload, args.seed, work_dir)
@@ -231,14 +239,17 @@ def main(argv=None) -> int:
             out, values = timed_run(args.workload, args.seed, args.seconds, work_dir)
             units = specs["end_to_end"]
     finally:
+        CLOCK.stop()
         shutil.rmtree(work_dir, ignore_errors=True)
         try:
             os.rmdir(WORK_ROOT)
         except OSError:
             pass
-    probe_end = host_probe()
 
-    print(f"host-probe-s: start={probe_start:.4f} end={probe_end:.4f}", file=sys.stderr)
+    probes = [cpu for __, cpu in CLOCK.probes]
+    print(f"host clock: {len(probes)} probes, mean-ms={statistics.fmean(probes) * 1e3:.4f}, "
+          f"quartiles {' '.join(f'{q * 1e3:.4f}' for q in statistics.quantiles(probes, n=4))} ms "
+          f"(reference {REFERENCE_PROBE_S * 1e3:.4f} ms)", file=sys.stderr)
     if out.slivers:
         ratios = " ".join(f"hs={r['hs']:.3f},vs={r['vs']:.3f}" for r in out.slivers)
         print(f"sliver ratios: {ratios}", file=sys.stderr)

@@ -10,8 +10,8 @@ corrupted output: a 5 ms hop, a hop-0 delivery that took time, a
 multicast delivering to more nodes than were eligible (counted as one
 failed operation), a row left pending, a missing row, a wrong clock, a wrong online count, a sliver
 size out of band, a restored aggregation that differs, and a traced log
-that differs.  It also checks that tracing leaves the operation logs
-byte-identical and that a probe whose function is gone is reported
+that differs.  It also checks that probing the host's speed and
+tracing leave the operation logs byte-identical and that a probe whose function is gone is reported
 absent instead of crashing.  Exits 0 when every expectation holds.
 """
 
@@ -27,6 +27,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 import checks  # noqa: E402
+import hostclock  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -44,11 +45,16 @@ def expect(condition: bool, what: str) -> None:
 def tiny_runs(work_dir: str) -> dict:
     """Every workload at a tiny size; returns one log per workload."""
     logs = {}
+    clock = hostclock.CLOCK
     for name in run.WORKLOADS:
         started = time.perf_counter()
         out = workloads.Samples()
-        run.run_cycles(name, SEED, 2, work_dir, out, tiny=True)
-        metrics = run.end_to_end_metrics(name, out)
+        clock.start()
+        try:
+            run.run_cycles(name, SEED, 2, work_dir, out, tiny=True)
+        finally:
+            clock.stop()
+        metrics = run.end_to_end_metrics(name, out, clock.seconds)
         expect(not out.problems and out.failed == 0 and out.attempted > 0,
                f"{name}: tiny run passes every check "
                f"({out.attempted} attempted, {time.perf_counter() - started:.1f} s) "
@@ -57,6 +63,24 @@ def tiny_runs(work_dir: str) -> dict:
                f"{name}: every end-to-end metric is measured and above 0")
         logs[name] = out.logs[0]
     return logs
+
+
+def host_clock(work_dir: str) -> None:
+    plain, probed = workloads.Samples(), workloads.Samples()
+    run.run_cycles("ops-churn", SEED, 1, work_dir, plain, tiny=True, setup_samples=1)
+    clock = hostclock.HostClock()
+    clock.start()
+    try:
+        run.run_cycles("ops-churn", SEED, 1, work_dir, probed, tiny=True, setup_samples=1)
+    finally:
+        clock.stop()
+    expect(bool(clock.probes), f"the host clock probes ({len(clock.probes)} probes)")
+    expect(plain.logs == probed.logs, "probing the host leaves the operation log byte-identical")
+    slow = hostclock.HostClock()
+    slow.probes = [(t, 2 * hostclock.REFERENCE_PROBE_S) for t in range(10)]
+    span = hostclock.Span(4.0, 6.0, 2.0)
+    expect(abs(slow.seconds(span) - 1.0) < 1e-9,
+           "a span on a host probing twice as slow as the reference reads half")
 
 
 def tracing_identity(work_dir: str) -> None:
@@ -193,6 +217,7 @@ def main() -> int:
     work_dir = tempfile.mkdtemp(prefix="selftest-", dir=run.WORK_ROOT)
     try:
         logs = tiny_runs(work_dir)
+        host_clock(work_dir)
         tracing_identity(work_dir)
         corrupted_outputs(logs, work_dir)
         warmup_checks()

@@ -10,21 +10,21 @@ drives it with one sequential :class:`~repro.service.client.ServiceClient`
 through plans, advances, reads, checkpoints, an eviction and the
 journal-replay restore that follows.
 
-Every phase is timed with ``time.perf_counter`` and the garbage
-collector runs before each timed phase.  The checks of
-:mod:`checks` run between phases, outside every timed span.
+Every timed phase is a span of :data:`hostclock.CLOCK`, which keeps
+the host's speed around it (see :mod:`hostclock`); the garbage
+collector runs before each.  The checks of :mod:`checks` run between
+phases, outside every timed span.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import os
 import random
 import shutil
-import statistics
 import tempfile
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -45,8 +45,7 @@ from repro.simulation import AvmemSimulation, SimulationSettings
 from repro.util.randomness import RandomRouter
 
 import checks
-
-clock = time.perf_counter
+from hostclock import CLOCK, Span
 
 #: grouped log reads a user makes on a finished run: the same groupings
 #: the figure tables and the service's log endpoint use
@@ -64,13 +63,15 @@ READ_GROUPINGS: Tuple[Tuple[str, ...], ...] = (
 class Samples:
     """Everything one run measured and checked."""
 
-    setup: List[float] = field(default_factory=list)
-    warmup: List[float] = field(default_factory=list)
-    plan_seconds: float = 0.0
+    setup: List[Span] = field(default_factory=list)
+    warmup: List[Span] = field(default_factory=list)
+    plans: List[Span] = field(default_factory=list)
     plan_operations: int = 0
-    reads: List[float] = field(default_factory=list)
-    checkpoint: List[float] = field(default_factory=list)
-    restore: List[float] = field(default_factory=list)
+    reads: List[Span] = field(default_factory=list)
+    #: per sample the spans it sums (one each in the simulation workloads,
+    #: a cycle's checkpoint requests in the service)
+    checkpoint: List[List[Span]] = field(default_factory=list)
+    restore: List[Span] = field(default_factory=list)
     attempted: int = 0
     failed: int = 0
     #: what failed operations broke (counted in ``failed``)
@@ -79,8 +80,8 @@ class Samples:
     problems: List[str] = field(default_factory=list)
     #: per cycle: the byte content of every operation log it produced
     logs: List[bytes] = field(default_factory=list)
-    #: per request, in order: (kind, client latency seconds) -- service only
-    requests: List[Tuple[str, float]] = field(default_factory=list)
+    #: per request, in order: (kind, client latency) -- service only
+    requests: List[Tuple[str, Span]] = field(default_factory=list)
     #: per cycle: HS/VS size ratios against the closed forms
     slivers: List[Dict[str, float]] = field(default_factory=list)
 
@@ -89,13 +90,6 @@ class Samples:
         ``operations`` is given, else broken state."""
         (self.failures if operations else self.problems).extend(problems)
         self.failed += operations
-
-
-def timed(fn: Callable[[], object]) -> Tuple[object, float]:
-    gc.collect()
-    start = clock()
-    result = fn()
-    return result, clock() - start
 
 
 def check_plan_log(out: Samples, log, plan, label: str) -> None:
@@ -185,11 +179,26 @@ def mixed_churn_plan(scale: float = 1.0):
 class CycleInput:
     """What one simulation cycle runs: the churn trace's seed, the seed
     of everything else (protocols, monitoring, hop latencies, operation
-    timing and initiators) and the plan."""
+    timing and initiators), the plan, and the seed of the plan items'
+    start offsets (``None``: every item starts with the plan)."""
 
     trace_seed: int
     sim_seed: int
     plan: Callable[[float], object]
+    phase_seed: Optional[int] = None
+
+    def make_plan(self, scale: float = 1.0):
+        """The plan, each item shifted by 0-5 s drawn from ``phase_seed``."""
+        plan = self.plan(scale)
+        if self.phase_seed is None:
+            return plan
+        rng = random.Random(self.phase_seed)
+        items = tuple(
+            dataclasses.replace(item, timing=dataclasses.replace(
+                item.timing, phase=round(rng.uniform(0.0, 5.0), 3)))
+            for item in plan.items
+        )
+        return dataclasses.replace(plan, items=items)
 
 
 @dataclass(frozen=True)
@@ -221,8 +230,8 @@ class SimWorkload:
 
 
 def cycle_seed(seed: int, cycle: int) -> int:
-    """The simulation seed of one cycle: protocol, monitoring, latency and
-    operation randomness differ in every cycle of every run."""
+    """The phase seed of one cycle: the operations' start offsets differ
+    in every cycle of every run."""
     return seed * 1000 + cycle
 
 
@@ -259,6 +268,12 @@ def read_payload(log, grouping) -> dict:
     return {"summary": log.summary(), "groups": log.aggregate(by=grouping)}
 
 
+def restore_log(path: str):
+    """Reload a log and answer the first read from it."""
+    restored = OperationLog.from_json(path)
+    return restored, read_payload(restored, READ_GROUPINGS[0])
+
+
 def sim_cycle(
     workload: SimWorkload,
     cycle: CycleInput,
@@ -273,22 +288,20 @@ def sim_cycle(
     to ``out``.
 
     The set-up is timed ``setup_samples`` times, each a whole
-    construction of the same input, and their median is the cycle's;
-    the last one built is the one that runs.
+    construction of the same input; the last one built is the one that
+    runs.
     """
-    plan = cycle.plan(plan_scale)
+    plan = cycle.make_plan(plan_scale)
     warmup, settle = workload.warmup()
     if hosts is not None:
         # tiny self-test sizes: a short warm-up on a few hosts
         warmup, settle = 7800.0, 1200.0
-    builds = []
     for __ in range(setup_samples):
         simulation = None  # the previous sample's, freed before the next build
-        simulation, seconds = timed(lambda: build_simulation(workload, cycle, hosts))
-        builds.append(seconds)
-    out.setup.append(statistics.median(builds))
-    __, seconds = timed(lambda: simulation.setup(warmup=warmup, settle=settle))
-    out.warmup.append(seconds)
+        simulation, span = CLOCK.timed(lambda: build_simulation(workload, cycle, hosts))
+        out.setup.append(span)
+    __, span = CLOCK.timed(lambda: simulation.setup(warmup=warmup, settle=settle))
+    out.warmup.append(span)
     out.fail(checks.warmup_state(simulation, warmup))
     ratios = checks.sliver_ratios(simulation)
     out.slivers.append(ratios)
@@ -297,13 +310,13 @@ def sim_cycle(
 
     out.attempted += plan.total_operations
     try:
-        log, seconds = timed(lambda: simulation.ops.run(plan))
+        log, span = CLOCK.timed(lambda: simulation.ops.run(plan))
     except Exception as exc:  # the program raised: every operation failed
         out.fail([f"plan raised {type(exc).__name__}: {exc}"], plan.total_operations)
         return
     finally:
         del simulation
-    out.plan_seconds += seconds
+    out.plans.append(span)
     out.plan_operations += len(log)
     check_plan_log(out, log, plan, plan.name)
 
@@ -313,17 +326,14 @@ def sim_cycle(
     before = [read_payload(log, g) for g in READ_GROUPINGS]
     repeats = 1 if hosts is not None else workload.persist_repeats
     for __ in range(repeats):
-        __, seconds = timed(lambda: log.to_json(path))
-        out.checkpoint.append(seconds)
-        gc.collect()
-        start = clock()
-        restored = OperationLog.from_json(path)
-        first = read_payload(restored, READ_GROUPINGS[0])
-        out.restore.append(clock() - start)
+        __, span = CLOCK.timed(lambda: log.to_json(path))
+        out.checkpoint.append([span])
+        (restored, first), span = CLOCK.timed(lambda: restore_log(path))
+        out.restore.append(span)
         after = [first]
         for g in READ_GROUPINGS[1:]:
-            payload, seconds = timed(lambda: read_payload(restored, g))
-            out.reads.append(seconds)
+            payload, span = CLOCK.timed(lambda: read_payload(restored, g))
+            out.reads.append(span)
             after.append(payload)
         out.fail(checks.same_payloads(before, after, "log read after reload"))
     with open(path, "rb") as fh:
@@ -332,8 +342,10 @@ def sim_cycle(
 
 
 def paper_round(seed: int, r: int) -> Tuple[CycleInput, ...]:
-    """One cycle, on trace 1 in the first round and trace 2 in the next."""
-    return (CycleInput((1, 2)[r % 2], cycle_seed(seed, r), paper_plan),)
+    """One cycle: trace and simulation seed 1 in even rounds, 2 in odd
+    ones; the plan items' start offsets come from ``seed``."""
+    fixed = 1 + r % 2
+    return (CycleInput(fixed, fixed, paper_plan, cycle_seed(seed, r)),)
 
 
 #: the input on which the multicast tally fault shows (CHANGES.md,
@@ -342,16 +354,18 @@ FAULT_SEED = 102003
 
 
 def churn_round(seed: int, r: int) -> Tuple[CycleInput, ...]:
-    """The seeded anycast storm on trace ``1 + r % 7``, then the mixed
-    storm with multicasts on the fixed input :data:`FAULT_SEED`.
+    """The anycast storm on trace and simulation seed ``1 + r % 7``, its
+    items' start offsets drawn from ``seed``, then the mixed storm with
+    multicasts on the fixed input :data:`FAULT_SEED`.
 
     The multicasts run on a fixed input because the program's multicast
     tally is wrong on some inputs: on a seeded one the number of failed
     operations would change from seed to seed.  On this input exactly
     one multicast fails, in every round of every run.
     """
+    fixed = 1 + r % 7
     return (
-        CycleInput(1 + r % 7, cycle_seed(seed, r), churn_plan),
+        CycleInput(fixed, fixed, churn_plan, cycle_seed(seed, r)),
         CycleInput(FAULT_SEED, FAULT_SEED, mixed_churn_plan),
     )
 
@@ -362,7 +376,7 @@ PAPER_WARMUP = SimWorkload(
     scenario=None,
     round=paper_round,
     sliver_band={"hs": (0.55, 1.05), "vs": (0.6, 1.5)},
-    persist_repeats=24,
+    persist_repeats=48,
     nominal_round_s=20.0,
 )
 
@@ -372,7 +386,7 @@ OPS_CHURN = SimWorkload(
     scenario="pareto-heavy-tail",
     round=churn_round,
     sliver_band={"hs": (0.4, 2.0), "vs": (0.4, 2.5)},
-    persist_repeats=6,
+    persist_repeats=10,
     nominal_round_s=14.0,
 )
 
@@ -450,17 +464,17 @@ class _Client:
         self.out.attempted += 1 + operations
         if kind in ("create", "restore"):
             gc.collect()
-        start = clock()
+        mark = CLOCK.mark()
         try:
             result = request()
         except (ServiceClientError, OSError) as exc:
             result = None
             self.out.fail([f"{kind} request failed: {exc}"], 1 + operations)
-        self.out.requests.append((kind, clock() - start))
+        self.out.requests.append((kind, CLOCK.since(mark)))
         return result
 
     @property
-    def last(self) -> float:
+    def last(self) -> Span:
         return self.out.requests[-1][1]
 
 
@@ -477,7 +491,7 @@ def service_cycle(
     sent: List[dict] = []
     call = _Client(out)
     gc.collect()
-    start = clock()
+    mark = CLOCK.mark()
     server = make_server(SessionOrchestrator(SessionStore(store_dir)))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -489,7 +503,7 @@ def service_cycle(
             out.logs.append(b"")
             shutil.rmtree(store_dir, ignore_errors=True)
             return
-        out.setup.append(clock() - start)
+        out.setup.append(CLOCK.since(mark))
         out.warmup.append(call.last)
 
         def run_plan(plan: dict) -> None:
@@ -497,7 +511,7 @@ def service_cycle(
             operations = sum(item["count"] for item in plan["items"])
             answer = call("plan", lambda: client.run_plan(sid, plan), operations)
             if answer is not None:
-                out.plan_seconds += call.last
+                out.plans.append(call.last)
                 out.plan_operations += int(answer["rows"])
 
         reads = (
@@ -507,7 +521,7 @@ def service_cycle(
             lambda: client.session(sid),
             lambda: client.telemetry(sid, phases=True),
         )
-        checkpoint_seconds = 0.0
+        checkpoints: List[Span] = []
         for k, (plan, advance) in enumerate(script[:-1]):
             run_plan(plan)
             for read in reads:
@@ -515,7 +529,7 @@ def service_cycle(
             call("command", lambda: client.advance(sid, advance))
             if k % CHECKPOINT_EVERY == CHECKPOINT_EVERY - 1:
                 call("checkpoint", lambda: client.checkpoint(sid))
-                checkpoint_seconds += call.last
+                checkpoints.append(call.last)
 
         groupings = (["kind"], ["policy", "status"], ["band", "kind"], ["item"])
         before = [call("read", lambda: client.log(sid, by=g)) for g in groupings]
@@ -530,8 +544,8 @@ def service_cycle(
 
         run_plan(script[-1][0])
         call("checkpoint", lambda: client.checkpoint(sid))
-        checkpoint_seconds += call.last
-        out.checkpoint.append(checkpoint_seconds)
+        checkpoints.append(call.last)
+        out.checkpoint.append(checkpoints)
     finally:
         server.shutdown()
         server.server_close()
